@@ -11,7 +11,7 @@ Compares, on one conv2d task and a fixed measurement budget:
 import pytest
 
 from repro import SearchTask, TuningOptions, intel_cpu
-from repro.hardware import ProgramMeasurer
+from repro.hardware import MeasurePipeline
 from repro.search import SketchPolicy, random_search_policy
 from repro.workloads import conv2d
 
@@ -25,7 +25,7 @@ def run_evolution_ablation(trials=None, seed=0):
 
     results = {}
     full = SketchPolicy(task, seed=seed)
-    full.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+    full.tune(budget, MeasurePipeline(task.hardware_params, seed=seed))
     results["mutation + crossover"] = full.best_throughput()
 
     mutation_only = SketchPolicy(task, seed=seed)
@@ -41,13 +41,13 @@ def run_evolution_ablation(trials=None, seed=0):
 
     EvolutionarySearch.__init__ = patched_init
     try:
-        mutation_only.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+        mutation_only.tune(budget, MeasurePipeline(task.hardware_params, seed=seed))
     finally:
         EvolutionarySearch.__init__ = original_init
     results["mutation only"] = mutation_only.best_throughput()
 
     random_only = random_search_policy(task, seed=seed)
-    random_only.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+    random_only.tune(budget, MeasurePipeline(task.hardware_params, seed=seed))
     results["no evolution (random)"] = random_only.best_throughput()
     return results
 

@@ -12,7 +12,7 @@ Two targeted experiments on the rules that create *new nodes*:
 import pytest
 
 from repro import SearchTask, TuningOptions, intel_cpu
-from repro.hardware import ProgramMeasurer
+from repro.hardware import MeasurePipeline
 from repro.search import SketchPolicy
 from repro.search.space import SearchSpaceOptions
 from repro.workloads import matmul, matrix_norm
@@ -24,7 +24,7 @@ def _tune(task, space, seed=0, trials=None):
     trials = trials or BENCH_TRIALS
     policy = SketchPolicy(task, space=space, seed=seed)
     policy.tune(TuningOptions(num_measure_trials=trials, num_measures_per_round=16),
-                ProgramMeasurer(task.hardware_params, seed=seed))
+                MeasurePipeline(task.hardware_params, seed=seed))
     return policy.best_throughput()
 
 

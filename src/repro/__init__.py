@@ -66,7 +66,7 @@ devices=...)``), and transient ``RUN_ERROR`` faults are retried up to
 ``TuningOptions.n_retry`` times instead of discarding the trial.  The
 tracked baseline is ``benchmarks/test_measure_throughput.py`` (measured
 trials/sec, merged into the same JSON); the no-fault path is bit-identical
-to the legacy serial measurer, enforced by
+to a preserved serial reference measurer, enforced by
 ``tests/hardware/test_measure_pipeline.py``.
 
 Measurement can also be *asynchronous* — the overlap model the paper uses
@@ -82,9 +82,9 @@ breed round *k+1* while round *k* occupies the devices — at the price of a
 one-round-stale cost model.  Callbacks observe results as they land through
 the streaming ``on_result`` hook (``RecordToFile`` appends records the
 moment they complete; ``EarlyStopper(target_cost=...)`` can stop a session
-mid-round, cancelling the queued remainder).  The synchronous default is a
-submit-then-drain shim over the same sessions and stays bit-identical to
-the historical batch path; the async overlap is gated (>= 1.3x measured
+mid-round, cancelling the queued remainder).  The synchronous default is
+the same driver over a synchronous session, with no lookahead round; the
+async overlap is gated (>= 1.3x measured
 trials/sec when device latency dominates) by the same measurement
 benchmark.
 
@@ -171,7 +171,6 @@ cross-target winner flip.
 """
 
 from . import te
-from .auto_schedule import auto_schedule, auto_schedule_networks
 from .callbacks import (
     EarlyStopper,
     MeasureCallback,
@@ -214,7 +213,6 @@ from .hardware.measure import (
     resolve_runner,
 )
 from .hardware.fleet import CircuitBreakerConfig, DeviceFleet, EstimatedProfile
-from .hardware.measurer import ProgramMeasurer
 from .hardware.rpc import DeviceProfile, RpcBuilder, RpcRunner
 from .hardware.simulator import CostSimulator
 from .ir.state import State
@@ -260,8 +258,6 @@ __all__ = [
     "TuningOptions",
     "Tuner",
     "TuningResult",
-    "auto_schedule",
-    "auto_schedule_networks",
     "MeasureCallback",
     "MeasureEvent",
     "MeasureResultEvent",
@@ -287,7 +283,6 @@ __all__ = [
     "edge_cpu",
     "target_from_name",
     "CostSimulator",
-    "ProgramMeasurer",
     "MeasurePipeline",
     "MeasureSession",
     "MeasureFuture",

@@ -4,15 +4,16 @@ Every search round ends with a batch of measurements.  Instead of wiring
 record logging, progress printing and early stopping into each search policy
 (or special-casing them in the top-level API), they are expressed as
 :class:`MeasureCallback` objects threaded through
-:meth:`repro.search.policy.SearchPolicy.continue_search_one_round` and
+:meth:`repro.search.policy.SearchPolicy.tune` and
 :meth:`repro.scheduler.task_scheduler.TaskScheduler.tune`.  A callback sees
 
 * ``on_tuning_start(subject)`` / ``on_tuning_end(subject)`` once per tuning
   session (the subject is the driving ``SearchPolicy`` or ``TaskScheduler``),
-* ``on_result(event)`` as every single measurement lands — in completion
-  order when an asynchronous :class:`~repro.hardware.measure.MeasureSession`
-  streams results off the devices, and immediately before ``on_round`` on
-  the batch-synchronous path — with a :class:`MeasureResultEvent`,
+* ``on_result(event)`` as every single measurement lands, with a
+  :class:`MeasureResultEvent` — in completion order when an asynchronous
+  :class:`~repro.hardware.measure.MeasureSession` streams results off the
+  devices, in submission order over a synchronous one, and in both modes
+  before the round is ingested by its policy,
 * ``on_round(event)`` after every measured batch, with a
   :class:`MeasureEvent` describing the batch and the policy's best-so-far,
 * ``on_scheduler_round(scheduler, record)`` after every task-scheduler
@@ -51,7 +52,6 @@ __all__ = [
     "EarlyStopper",
     "fire_round",
     "fire_result",
-    "fire_round_events",
     "fire_scheduler_round",
 ]
 
@@ -86,8 +86,9 @@ class MeasureResultEvent:
     """One measurement landing (streamed, not batched).
 
     Async sessions fire one of these per candidate *in completion order*,
-    while the round is still in flight; the batch-synchronous path fires
-    them in submission order just before the round event.  A callback that
+    while the round is still in flight; sync sessions fire them in
+    submission order.  Either way they fire before the policy ingests the
+    round, so the policy's state does not yet reflect it.  A callback that
     raises :class:`StopTuning` here stops the session mid-round (queued
     work is cancelled, running work is drained and still observed).
     """
@@ -111,8 +112,9 @@ class MeasureCallback:
         """Called once when a tuning session begins."""
 
     def on_result(self, event: MeasureResultEvent) -> None:
-        """Called as every single measurement lands (completion order on the
-        async path, submission order just before ``on_round`` otherwise)."""
+        """Called as every single measurement lands (completion order over an
+        async session, submission order over a sync one).  Fires before
+        the round is ingested by its policy, in both modes."""
 
     def on_round(self, event: MeasureEvent) -> None:
         """Called after every measured round of a search policy."""
@@ -150,34 +152,6 @@ def fire_result(callbacks: Sequence[MeasureCallback], event: MeasureResultEvent)
     _fire(callbacks, lambda cb: cb.on_result(event))
 
 
-def fire_round_events(callbacks: Sequence[MeasureCallback], event: MeasureEvent) -> None:
-    """Dispatch a synchronous round: one ``on_result`` per measurement (in
-    submission order) followed by the ``on_round`` event.  Every callback
-    sees every event before the first :class:`StopTuning` is re-raised, so
-    the streaming and round-level views of the batch never diverge."""
-    stop: Optional[StopTuning] = None
-    for inp, res in zip(event.inputs, event.results):
-        try:
-            fire_result(
-                callbacks,
-                MeasureResultEvent(
-                    task=event.task,
-                    policy=event.policy,
-                    input=inp,
-                    result=res,
-                    measurer=event.measurer,
-                ),
-            )
-        except StopTuning as exc:
-            stop = stop or exc
-    try:
-        fire_round(callbacks, event)
-    except StopTuning as exc:
-        stop = stop or exc
-    if stop is not None:
-        raise stop
-
-
 def fire_scheduler_round(
     callbacks: Sequence[MeasureCallback], scheduler, record
 ) -> None:
@@ -188,8 +162,7 @@ def fire_scheduler_round(
 class RecordToFile(MeasureCallback):
     """Append every measurement to a JSON-lines tuning log.
 
-    Replaces the old ``auto_schedule(..., log_file=...)`` special case: the
-    log can be replayed with :func:`repro.records.load_records` or deployed
+    The log can be replayed with :func:`repro.records.load_records` or deployed
     with :func:`repro.records.apply_history_best`.
 
     Records stream: every measurement is appended from ``on_result`` the

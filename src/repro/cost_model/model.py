@@ -100,22 +100,15 @@ class LearnedCostModel(CostModel):
         max_depth: int = 4,
         learning_rate: float = 0.2,
         max_training_samples: int = 1024,
-        retrain_every: Optional[int] = None,
         seed: int = 0,
         retrain: str = "window",
-        retrain_interval: Optional[int] = None,
+        retrain_interval: int = 1,
         retrain_window: Optional[int] = None,
     ):
         if retrain not in ("window", "full"):
             raise ValueError(
                 f"unknown retrain mode {retrain!r}; use 'window' or 'full'"
             )
-        if retrain_every is not None and retrain_interval is not None:
-            raise ValueError(
-                "pass retrain_interval= or its legacy alias retrain_every=, not both"
-            )
-        if retrain_interval is None:
-            retrain_interval = retrain_every if retrain_every is not None else 1
         if retrain_interval < 1:
             raise ValueError("retrain_interval must be >= 1")
         if retrain_window is not None and retrain_window < 2:
@@ -152,15 +145,6 @@ class LearnedCostModel(CostModel):
         self.samples_ingested = 0
         self.retrains_run = 0
         self.retrains_skipped = 0
-
-    @property
-    def retrain_every(self) -> int:
-        """Legacy alias of :attr:`retrain_interval`."""
-        return self.retrain_interval
-
-    @retrain_every.setter
-    def retrain_every(self, value: int) -> None:
-        self.retrain_interval = value
 
     @property
     def version(self) -> int:

@@ -113,10 +113,10 @@ candidate), streams outcomes in completion order through
 In async mode a small worker pool drives the builder and runner stages
 concurrently (builds go through :meth:`ProgramBuilder.build_one_dispatch`,
 which the rpc builder routes into its process pool); in sync mode
-(``async_=False``) the session is a thin veneer over the classic batch
-path, and :meth:`MeasurePipeline.measure` itself is now exactly that — a
-submit-then-drain shim whose results are bit-identical to the historical
-batch-synchronous behaviour.  Every executed candidate is accounted exactly
+(``async_=False``) the session is a thin veneer over the batch path: it
+measures everything queued through one :meth:`MeasurePipeline.measure`
+call, so its results are bit-identical to calling ``measure()`` directly.
+Every executed candidate is accounted exactly
 once (under a pipeline-level lock), cancelled futures never run and are
 never counted, and per-program determinism (hash-seeded noise, per-program
 fault draws) makes single-device async results identical to sync results
@@ -840,9 +840,8 @@ class MeasureSession:
 
     * ``async_=False`` — the synchronous veneer: submitted work is measured
       lazily (on ``drain()`` / ``as_completed()`` / ``result()``) as one
-      batch through the classic pipeline path, so results are bit-identical
-      to the historical ``measure()`` behaviour.  ``MeasurePipeline.measure``
-      is exactly this submit-then-drain shim.
+      batch through :meth:`MeasurePipeline.measure`, so results are
+      bit-identical to calling ``measure()`` directly.
     * ``async_=True`` — ``n_workers`` threads consume the queue
       concurrently: builds overlap (through
       :meth:`ProgramBuilder.build_one_dispatch`, which pool-backed builders
@@ -854,8 +853,8 @@ class MeasureSession:
     real device for one run attempt (it is actually slept: serially in sync
     mode, overlapped across workers in async mode).  It is the wall-clock
     analogue of :attr:`MeasurePipeline.measure_latency_sec`, which only
-    advances the simulated-clock accounting; the default 0.0 keeps the sync
-    shim time-identical to the classic batch path.  This knob is what the
+    advances the simulated-clock accounting; the default 0.0 keeps a sync
+    session time-identical to a direct ``measure()`` call.  This knob is what the
     async-overlap benchmark (``benchmarks/test_measure_throughput.py``)
     turns to make device latency dominate.
 
@@ -1065,16 +1064,16 @@ class MeasureSession:
         return self.measure_latency_sec * (1 + result.retry_count)
 
     def _process_pending(self) -> None:
-        """Sync mode: measure everything queued as ONE batch through the
-        classic pipeline path (bit-identical to the historical behaviour:
-        the whole batch builds through the builder's own thread pool, runs
-        in submission order, retries, then accounts)."""
+        """Sync mode: measure everything queued as ONE batch through
+        :meth:`MeasurePipeline.measure` (the whole batch builds through the
+        builder's own thread pool, runs in submission order, retries, then
+        accounts)."""
         with self._lock:
             batch = list(self._queue)
             self._queue.clear()
         if not batch:
             return
-        results = self.pipeline._measure_batch([f.input for f in batch])
+        results = self.pipeline.measure([f.input for f in batch])
         if callable(self.measure_latency_sec) or self.measure_latency_sec > 0:
             # The emulated device is serial in sync mode: every run attempt
             # occupies it back to back.
@@ -1333,7 +1332,7 @@ class MeasurePipeline:
             async_measure=options.async_measure,
         )
 
-    # -- compat accessors (the old ProgramMeasurer surface) ---------------
+    # -- stage accessors -------------------------------------------------
     @property
     def hardware(self) -> HardwareParams:
         return self.runner.hardware
@@ -1388,20 +1387,10 @@ class MeasurePipeline:
         run all, retry transient run faults up to ``n_retry`` times, update
         counters and per-workload bests.
 
-        This is now a thin submit-then-drain shim over a synchronous
-        :class:`MeasureSession`; the results (costs, errors, retries,
-        counters, best states) are bit-identical to the historical
-        batch-synchronous path, which the parity tests enforce.
+        This is the classic batch path and the unit of work of a
+        synchronous :class:`MeasureSession`, which measures everything
+        queued through one call here.
         """
-        if not inputs:
-            return []
-        with self.session(async_=False) as session:
-            session.submit(inputs)
-            return session.drain()
-
-    def _measure_batch(self, inputs: Sequence[MeasureInput]) -> List[MeasureResult]:
-        """The classic batch path (one builder pass, one run pass, retries,
-        accounting) — the unit of work of a synchronous session."""
         if not inputs:
             return []
         start = time.perf_counter()

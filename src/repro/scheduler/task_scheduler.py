@@ -31,7 +31,6 @@ from ..callbacks import (
     StopTuning,
     fire_result,
     fire_round,
-    fire_round_events,
     fire_scheduler_round,
 )
 from ..cost_model.model import CostModel
@@ -382,134 +381,64 @@ class TaskScheduler:
         remaining tasks (an :class:`~repro.callbacks.EarlyStopper` tracks
         improvement per task, so sharing one instance works as expected).
 
-        ``async_measure`` (or pipelines built with ``async_measure=True``)
-        switches to the pipelined driver when every policy implements the
-        propose/ingest split: while the selected round runs on its devices,
-        the scheduler speculatively selects the next task (on the current,
+        Rounds run through one :class:`~repro.hardware.measure.MeasureSession`
+        per distinct pipeline (see :meth:`_drive`).  ``async_measure`` (or
+        pipelines built with ``async_measure=True``) makes those sessions
+        asynchronous: while the selected round runs on its devices, the
+        scheduler speculatively selects the next task (on the current,
         one-round-stale allocation state) and breeds its round, so devices
         and the searcher stay busy simultaneously.  A task early-stopped by
         a callback may therefore have one already-in-flight lookahead round,
         which is still measured and ingested (the device time is spent
-        either way) before the task stops receiving allocations.
+        either way) before the task stops receiving allocations.  Sync
+        sessions select and breed each round after the previous one is
+        accounted.
         """
         self.measurers = self._make_measurers(measurer, measurer_factory)
         active = list(callbacks)
         if self.verbose and not any(isinstance(cb, ProgressLogger) for cb in active):
             active.append(ProgressLogger())
-        use_async = (
-            async_measure or any(getattr(m, "async_measure", False) for m in self.measurers)
-        ) and all(policy.supports_pipelining for policy in self.policies)
+        async_ = async_measure or any(m.async_measure for m in self.measurers)
+        # One session per distinct pipeline: tasks sharing hardware share one.
+        sessions = {id(m): m.session(async_=async_) for m in self.measurers}
         for cb in active:
             cb.on_tuning_start(self)
         try:
-            if use_async:
-                self._tune_pipelined(num_measure_trials, num_measures_per_round, active)
-            else:
-                self._tune_rounds(num_measure_trials, num_measures_per_round, active)
+            self._drive(num_measure_trials, num_measures_per_round, sessions, active)
         finally:
+            for session in sessions.values():
+                session.close()
             for cb in active:
                 cb.on_tuning_end(self)
         return list(self.best_costs)
 
-    def _tune_rounds(
+    # -- the driver --------------------------------------------------------
+    def _drive(
         self,
         num_measure_trials: int,
         num_measures_per_round: int,
+        sessions: Dict[int, MeasureSession],
         active: List[MeasureCallback],
     ) -> None:
-        """The batch-synchronous allocation loop (the historical behaviour)."""
-        while self.total_trials < num_measure_trials:
-            index = self._select_task()
-            if index is None:  # every task early-stopped
-                break
-            policy = self.policies[index]
-            task_measurer = self.measurers[index]
-            budget = min(num_measures_per_round, num_measure_trials - self.total_trials)
-            remaining = self._remaining_limit(index)
-            if remaining is not None:
-                budget = min(budget, remaining)
-            # Two-argument call: pre-0.2.0 policies (no callbacks
-            # parameter) keep working; events fire here at the loop level.
-            inputs, results = policy.continue_search_one_round(budget, task_measurer)
-            consumed = len(inputs)
-            stopped = False
-            if active and inputs:
-                try:
-                    fire_round_events(active, policy._make_event(inputs, results, task_measurer))
-                except StopTuning:
-                    stopped = True
-            if consumed == 0:
-                # The policy produced no candidates.  Charge one phantom
-                # trial so the loop provably terminates, but track the
-                # dry spell: a task that is repeatedly empty (its space
-                # enumerated or fully deduplicated) is exhausted and must
-                # stop being selected — it used to be re-selectable
-                # forever, burning the remaining budget one phantom trial
-                # at a time while appending stale points to its latency
-                # history.  Empty rounds leave the history untouched.
-                self.total_trials += 1
-                self.allocations[index] += 1
-                self.empty_rounds[index] += 1
-                if self.empty_rounds[index] >= self.max_empty_rounds:
-                    self.exhausted[index] = True
-                continue
-            self.empty_rounds[index] = 0
-            if stopped:
-                self.exhausted[index] = True
-            self.total_trials += consumed
-            self.task_trials[index] += consumed
-            self.allocations[index] += 1
-            self.best_costs[index] = policy.best_cost
-            self.latency_history[index].append(policy.best_cost)
-            if isinstance(self.objective, EarlyStoppingLatency):
-                self.objective.observe(index, policy.best_cost)
-            record = TaskSchedulerRecord(
-                total_trials=self.total_trials,
-                objective_value=self.objective_value(),
-                best_costs=list(self.best_costs),
-                selected_task=index,
-            )
-            self.records.append(record)
-            try:
-                if active:
-                    fire_scheduler_round(active, self, record)
-            except StopTuning:
-                # A scheduler-level stop (e.g. a global budget callback)
-                # ends the whole session, not just one task.
-                break
+        """Select, breed, measure and account rounds until the budget is
+        spent, every task is exhausted, or a callback stops the session.
 
-    # -- the pipelined (async) driver ------------------------------------
-    def _tune_pipelined(
-        self,
-        num_measure_trials: int,
-        num_measures_per_round: int,
-        active: List[MeasureCallback],
-    ) -> None:
-        """One-round-lookahead allocation over async measurement sessions.
-
-        One :class:`~repro.hardware.measure.MeasureSession` is opened per
-        distinct pipeline (tasks sharing hardware share a session).  While
-        the current round occupies its devices, the next task is selected —
-        against allocation state that includes the in-flight round, so
-        warm-up still visits every task exactly once — and its round is
-        bred and submitted.  Gradient-based selection therefore runs one
-        round staler than the synchronous driver, the documented price of
+        Over async ``sessions``, while the current round occupies its
+        devices the next task is selected — against allocation state that
+        includes the in-flight round, so warm-up still visits every task
+        exactly once — and its round is bred and submitted.
+        Gradient-based selection therefore runs one round staler than over
+        sync sessions, which breed no lookahead: the documented price of
         the overlap.  All accounting (trials, allocations, histories,
-        records) happens at ingest time, in round-completion order, exactly
-        as in the synchronous loop.
+        records) happens at ingest time, in round-completion order.
         """
-        sessions: Dict[int, MeasureSession] = {}
+        lookahead = any(session.async_mode for session in sessions.values())
         pending_alloc = [0] * len(self.tasks)
         pending_trials = [0] * len(self.tasks)
         submitted = 0  # trials in flight: proposed but not yet accounted
 
         def _session_for(index: int) -> MeasureSession:
-            pipeline = self.measurers[index]
-            session = sessions.get(id(pipeline))
-            if session is None:
-                session = pipeline.session(async_=True)
-                sessions[id(pipeline)] = session
-            return session
+            return sessions[id(self.measurers[index])]
 
         def _propose():
             """Select a task and submit one bred round for it; handles the
@@ -531,8 +460,12 @@ class TaskScheduler:
                     budget = min(budget, remaining)
                 states = self.policies[index].propose_candidates(budget)
                 if not states:
-                    # Same phantom-trial accounting as the synchronous loop:
-                    # guarantees termination and exhausts repeatedly-dry tasks.
+                    # The policy produced no candidates.  Charge one phantom
+                    # trial so the loop provably terminates, but track the
+                    # dry spell: a task that is repeatedly empty (its space
+                    # enumerated or fully deduplicated) is exhausted and
+                    # stops being selected.  Empty rounds leave the latency
+                    # history untouched.
                     self.total_trials += 1
                     self.allocations[index] += 1
                     self.empty_rounds[index] += 1
@@ -622,23 +555,19 @@ class TaskScheduler:
                 return not suppress_stop
             return False
 
-        try:
-            current = _propose()
-            while current is not None:
-                # Breed the lookahead round while the current one measures.
-                upcoming = _propose()
-                if _finish(current):
-                    # Scheduler-level stop: the lookahead round is already
-                    # in flight — recall what never started, keep the rest.
-                    if upcoming is not None:
-                        for fut in upcoming[2]:
-                            fut.cancel()
-                        _finish(upcoming, suppress_stop=True)
-                    break
-                current = upcoming if upcoming is not None else _propose()
-        finally:
-            for session in sessions.values():
-                session.close()
+        current = _propose()
+        while current is not None:
+            # Breed the lookahead round while the current one measures.
+            upcoming = _propose() if lookahead else None
+            if _finish(current):
+                # Scheduler-level stop: the lookahead round is already in
+                # flight — recall what never started, keep the rest.
+                if upcoming is not None:
+                    for fut in upcoming[2]:
+                        fut.cancel()
+                    _finish(upcoming, suppress_stop=True)
+                break
+            current = upcoming if upcoming is not None else _propose()
 
     # ------------------------------------------------------------------
     def _finite_costs(self) -> List[float]:

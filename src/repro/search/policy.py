@@ -2,10 +2,8 @@
 
 A search policy optimizes one :class:`~repro.task.SearchTask`.  Policies are
 driven either standalone (through :meth:`SearchPolicy.tune`) or by the task
-scheduler (§6), which repeatedly asks for "one more round" of measurements
-via :meth:`SearchPolicy.continue_search_one_round`.
-
-The round itself is split into two halves so drivers can pipeline:
+scheduler (§6), which hands rounds out across tasks.  A policy implements a
+round as two halves, and the driver owns the measurement in between:
 
 * :meth:`SearchPolicy.propose_candidates` breeds the next batch of programs
   (sampling, evolution, ε-greedy selection — everything that happens *before*
@@ -13,15 +11,14 @@ The round itself is split into two halves so drivers can pipeline:
 * :meth:`SearchPolicy.ingest_results` absorbs a measured batch (best-state
   tracking, cost-model training, history).
 
-:meth:`SearchPolicy.continue_search_one_round` is now a default adapter —
-propose, measure, ingest — so subclasses implement the two halves and the
-old batch-synchronous entry point keeps working unchanged (and legacy
-subclasses that override ``continue_search_one_round`` directly still run
-on every synchronous path).  When measurement is asynchronous
-(``TuningOptions.async_measure``), :meth:`SearchPolicy.tune` drives the
-halves through a :class:`~repro.hardware.measure.MeasureSession` with one
-round of lookahead: round *k+1* is bred while round *k* occupies the
-devices, which is the overlap the paper uses to hide device latency.
+There is one driver: rounds are submitted to a
+:class:`~repro.hardware.measure.MeasureSession`, results stream back through
+``on_result`` callbacks, and the round is then ingested.  Over an async
+session (``TuningOptions.async_measure``) the driver keeps one lookahead
+round in flight — round *k+1* is bred while round *k* occupies the devices,
+which is the overlap the paper uses to hide device latency.  Over a sync
+session it breeds no lookahead, so every round is bred from everything
+measured before it.
 
 Policies are also available through a string-keyed registry so higher
 layers (most notably :class:`repro.tuner.Tuner`) can select a search
@@ -47,7 +44,6 @@ from ..callbacks import (
     StopTuning,
     fire_result,
     fire_round,
-    fire_round_events,
 )
 from ..hardware.measure import MeasureInput, MeasurePipeline, MeasureResult, MeasureSession
 from ..ir.state import State
@@ -142,8 +138,7 @@ class SearchPolicy:
         means the policy is out of candidates and the session should end.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither propose_candidates() "
-            "nor continue_search_one_round()"
+            f"{type(self).__name__} does not implement propose_candidates()"
         )
 
     def ingest_results(
@@ -159,12 +154,6 @@ class SearchPolicy:
                 self.best_state = inp.state
         self.history.append((self.num_trials, self.best_cost))
 
-    @property
-    def supports_pipelining(self) -> bool:
-        """Whether this policy implements the propose/ingest split (and can
-        therefore be driven through an async measurement session)."""
-        return type(self).propose_candidates is not SearchPolicy.propose_candidates
-
     def close(self) -> None:
         """Release any resources the policy holds (worker pools, handles).
 
@@ -174,36 +163,6 @@ class SearchPolicy:
         once their session ends.  Closing must be idempotent, and a closed
         policy may lazily recreate its resources if it is driven again.
         """
-
-    # ------------------------------------------------------------------
-    def continue_search_one_round(
-        self,
-        num_measures: int,
-        measurer: MeasurePipeline,
-        callbacks: Sequence[MeasureCallback] = (),
-    ) -> Tuple[List[MeasureInput], List[MeasureResult]]:
-        """Generate, measure and learn from one batch of candidate programs.
-
-        The default adapter composes the two halves — propose, measure
-        through the pipeline's batch path, ingest — so policies implementing
-        :meth:`propose_candidates` / :meth:`ingest_results` get the classic
-        batch-synchronous entry point for free, and pre-split subclasses
-        that override this method directly keep working on every
-        synchronous driver.
-
-        ``callbacks`` observe the measured batch (see
-        :mod:`repro.callbacks`); a callback may raise
-        :class:`~repro.callbacks.StopTuning` to end the session.
-        """
-        candidates = self.propose_candidates(num_measures)
-        if not candidates:
-            return [], []
-        inputs = [MeasureInput(self.task, state) for state in candidates]
-        results = measurer.measure(inputs)
-        self.ingest_results(inputs, results)
-        if callbacks:
-            fire_round_events(callbacks, self._make_event(inputs, results, measurer))
-        return inputs, results
 
     # ------------------------------------------------------------------
     def _make_event(
@@ -222,21 +181,6 @@ class SearchPolicy:
             best_cost=self.best_cost,
             measurer=measurer,
         )
-
-    def _record_results(
-        self,
-        inputs: Sequence[MeasureInput],
-        results: Sequence[MeasureResult],
-        callbacks: Sequence[MeasureCallback] = (),
-        measurer: Optional[MeasurePipeline] = None,
-    ) -> None:
-        """Legacy helper for pre-split subclasses: the base book-keeping of
-        :meth:`ingest_results` plus optional event firing.  Calls the *base*
-        implementation on purpose — a subclass using this helper has already
-        done its own learning before calling it."""
-        SearchPolicy.ingest_results(self, inputs, results)
-        if callbacks:
-            fire_round_events(callbacks, self._make_event(inputs, results, measurer))
 
     def best_throughput(self) -> float:
         """Best achieved throughput in FLOP/s (0 when nothing measured yet)."""
@@ -257,12 +201,13 @@ class SearchPolicy:
         callbacks; ``options.verbose`` and ``options.early_stopping`` are
         honored by appending the equivalent callback when none is given.
 
-        With ``options.async_measure`` (or a pipeline built with
-        ``async_measure=True``) and a policy implementing the
-        propose/ingest split, rounds are driven through an asynchronous
-        :class:`~repro.hardware.measure.MeasureSession` with one round of
-        lookahead — round *k+1* is bred while round *k* runs on the devices.
-        Policies without the split fall back to the batch-synchronous loop.
+        Rounds run through a :class:`~repro.hardware.measure.MeasureSession`
+        over ``measurer`` (see :meth:`_drive`).  With
+        ``options.async_measure`` (or a pipeline built with
+        ``async_measure=True``) the session is asynchronous and round *k+1*
+        is bred while round *k* runs on the devices; otherwise the session is
+        synchronous and every round is bred after the previous one is
+        ingested.
         """
         from ..callbacks import EarlyStopper  # local: keep top-level imports light
 
@@ -283,29 +228,12 @@ class SearchPolicy:
         ):
             active.append(EarlyStopper(options.early_stopping))
 
-        use_async = (
-            options.async_measure or getattr(measurer, "async_measure", False)
-        ) and self.supports_pipelining
-
         for cb in active:
             cb.on_tuning_start(self)
         try:
-            if use_async:
-                self._tune_pipelined(options, measurer, active)
-            else:
-                while self.num_trials < options.num_measure_trials:
-                    budget = min(
-                        options.num_measures_per_round,
-                        options.num_measure_trials - self.num_trials,
-                    )
-                    # The two-argument call keeps pre-0.2.0 subclasses (which
-                    # override without the callbacks parameter) working; events
-                    # are fired here, at the loop level, instead.
-                    inputs, results = self.continue_search_one_round(budget, measurer)
-                    if not inputs:
-                        break
-                    if active:
-                        fire_round_events(active, self._make_event(inputs, results, measurer))
+            async_ = options.async_measure or measurer.async_measure
+            with measurer.session(async_=async_) as session:
+                self._drive(options, session, measurer, active)
         except StopTuning:
             pass
         finally:
@@ -313,71 +241,67 @@ class SearchPolicy:
                 cb.on_tuning_end(self)
         return self.best_state
 
-    # -- the pipelined (async) driver ------------------------------------
-    def _tune_pipelined(
+    # -- the driver --------------------------------------------------------
+    def _drive(
         self,
         options: TuningOptions,
+        session: MeasureSession,
         measurer: MeasurePipeline,
         callbacks: Sequence[MeasureCallback],
     ) -> None:
-        """Drive rounds through an async session with one-round lookahead.
+        """Propose, measure and ingest rounds until the budget is spent or
+        the policy runs out of candidates.
 
-        While round *k* occupies the devices, :meth:`propose_candidates`
-        breeds round *k+1* from everything ingested so far (the cost model
-        is therefore one round staler than on the synchronous path — the
-        price of the overlap, as in the paper).  A :class:`StopTuning` from
-        any callback cancels the queued remainder, waits out the running
-        measurements, and ingests/records them before unwinding, so no
-        future leaks and every executed trial is counted exactly once.
+        An async session keeps one lookahead round in flight: while round
+        *k* occupies the devices, :meth:`propose_candidates` breeds round
+        *k+1* from everything ingested so far (the cost model is therefore
+        one round staler than over a sync session — the price of the
+        overlap, as in the paper).  A sync session breeds no lookahead.  A
+        :class:`StopTuning` from any callback cancels the queued remainder,
+        waits out the running measurements, and ingests/records them before
+        unwinding, so no future leaks and every executed trial is counted
+        exactly once.
         """
-        # Budget from the trials already consumed, like the sync loop: a
-        # reused policy resumes, it does not restart.  `submitted` then
-        # also reserves the in-flight lookahead trials.
+        # Budget from the trials already consumed: a reused policy resumes,
+        # it does not restart.  `submitted` also reserves in-flight trials.
         submitted = self.num_trials
-        rounds: List[Tuple[List[MeasureInput], List["MeasureFuture"]]] = []
 
-        with measurer.session(async_=True) as session:
+        def propose_and_submit():
+            nonlocal submitted
+            budget = min(
+                options.num_measures_per_round,
+                options.num_measure_trials - submitted,
+            )
+            if budget <= 0:
+                return None
+            candidates = self.propose_candidates(budget)
+            if not candidates:
+                return None
+            inputs = [MeasureInput(self.task, state) for state in candidates]
+            futures = session.submit(inputs)
+            submitted += len(inputs)
+            return (inputs, futures)
 
-            def propose_and_submit():
-                nonlocal submitted
-                budget = min(
-                    options.num_measures_per_round,
-                    options.num_measure_trials - submitted,
-                )
-                if budget <= 0:
-                    return None
-                candidates = self.propose_candidates(budget)
-                if not candidates:
-                    return None
-                inputs = [MeasureInput(self.task, state) for state in candidates]
-                futures = session.submit(inputs)
-                submitted += len(inputs)
-                return (inputs, futures)
-
-            first = propose_and_submit()
-            if first is not None:
-                rounds.append(first)
-            while rounds:
-                # Breed the lookahead round while the current one measures.
-                upcoming = propose_and_submit()
+        current = propose_and_submit()
+        while current is not None:
+            # Breed the lookahead round while the current one measures.
+            upcoming = propose_and_submit() if session.async_mode else None
+            try:
+                self._collect_round(session, current, callbacks, measurer)
+            except StopTuning:
+                # A policy-level stop ends the whole session: recall the
+                # lookahead round's queued work, then drain and ingest
+                # whatever already reached a device — nothing leaks,
+                # nothing is measured that can still be cancelled.
                 if upcoming is not None:
-                    rounds.append(upcoming)
-                try:
-                    self._collect_round(session, rounds[0], callbacks, measurer)
-                except StopTuning:
-                    # A policy-level stop ends the whole session: recall the
-                    # lookahead rounds' queued work, then drain and ingest
-                    # whatever already reached a device — nothing leaks,
-                    # nothing is measured that can still be cancelled.
-                    rounds.pop(0)
-                    for later in rounds:
-                        for fut in later[1]:
-                            fut.cancel()
-                        self._collect_round(
-                            session, later, callbacks, measurer, suppress_stop=True
-                        )
-                    raise
-                rounds.pop(0)
+                    for fut in upcoming[1]:
+                        fut.cancel()
+                    self._collect_round(
+                        session, upcoming, callbacks, measurer, suppress_stop=True
+                    )
+                raise
+            # An empty proposal (budget spent or policy dry) ends the session.
+            current = upcoming if session.async_mode else propose_and_submit()
 
     def _collect_round(
         self,

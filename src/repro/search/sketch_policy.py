@@ -12,11 +12,12 @@ This is the main loop described in §3–§5 of the paper.  Each round:
 6. re-train the cost model with the new measurements.
 
 Steps 1–4 are :meth:`SketchPolicy.propose_candidates` and step 6 is
-:meth:`SketchPolicy.ingest_results`; the measurement in between belongs to
-the driver, which either composes the halves batch-synchronously (the
-inherited ``continue_search_one_round``) or pipelines them through an async
-:class:`~repro.hardware.measure.MeasureSession` so breeding round *k+1*
-overlaps measuring round *k*.
+:meth:`SketchPolicy.ingest_results`; step 5 belongs to the one driver,
+:meth:`~repro.search.policy.SearchPolicy.tune` (or the task scheduler),
+which measures through a :class:`~repro.hardware.measure.MeasureSession`.
+Over an async session it breeds round *k+1* while round *k* is measured;
+over a sync session each round is bred after the previous one is
+ingested.
 """
 
 from __future__ import annotations

@@ -181,8 +181,9 @@ class TuningOptions:
     #: each round through an asynchronous
     #: :class:`~repro.hardware.measure.MeasureSession` and breed round *k+1*
     #: while round *k* occupies the devices (one-round-stale cost model).
-    #: The default False preserves the batch-synchronous behaviour (and its
-    #: tuning logs) bit for bit.
+    #: The default False runs the same driver over a synchronous session
+    #: with no lookahead round: every round is bred after the previous one
+    #: is ingested.
     async_measure: bool = False
     #: a :class:`~repro.store.ScheduleStore` consulted before searching:
     #: a hit on ``(workload fingerprint, target)`` returns the cached best

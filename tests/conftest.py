@@ -6,9 +6,20 @@ import numpy as np
 import pytest
 
 from repro import te
-from repro.hardware import CostSimulator, ProgramMeasurer, intel_cpu
+from repro.hardware import CostSimulator, MeasureInput, MeasurePipeline, intel_cpu
 from repro.task import SearchTask
 from repro.workloads import matmul, matmul_relu
+
+
+def run_round(policy, num_measures, measurer):
+    """One search round by hand: propose, measure the batch, ingest it.
+    Returns the measured ``(inputs, results)``."""
+    states = policy.propose_candidates(num_measures)
+    inputs = [MeasureInput(policy.task, state) for state in states]
+    results = measurer.measure(inputs)
+    if inputs:
+        policy.ingest_results(inputs, results)
+    return inputs, results
 
 
 def make_matmul_dag(m=64, n=64, k=64):
@@ -60,7 +71,7 @@ def simulator(intel_hardware):
 
 @pytest.fixture
 def measurer(intel_hardware):
-    return ProgramMeasurer(intel_hardware, seed=0)
+    return MeasurePipeline(intel_hardware, seed=0)
 
 
 @pytest.fixture

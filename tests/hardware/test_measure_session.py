@@ -287,26 +287,6 @@ def test_pipelined_scheduler_visits_every_task(intel_hardware):
     )
 
 
-def test_legacy_round_only_policies_fall_back_to_sync(task):
-    """A policy without the propose/ingest split cannot pipeline; async
-    sessions fall back to the batch-synchronous loop instead of breaking."""
-
-    policy = SketchPolicy(task, seed=0)
-    assert policy.supports_pipelining
-
-    from repro.search.policy import SearchPolicy
-
-    class Bare(SearchPolicy):
-        def continue_search_one_round(self, num_measures, measurer, callbacks=()):
-            return [], []
-
-    bare = Bare(task)
-    assert not bare.supports_pipelining
-    measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
-    # async request + no split -> sync loop, which ends on the empty round
-    assert bare.tune(TuningOptions(num_measure_trials=8), measurer) is None
-
-
 # ---------------------------------------------------------------------------
 # StopTuning mid-round: the cleanup regression (satellite)
 # ---------------------------------------------------------------------------

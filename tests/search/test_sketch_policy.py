@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cost_model import LearnedCostModel, RandomCostModel
-from repro.hardware import CostSimulator, ProgramMeasurer, intel_cpu
+from repro.hardware import CostSimulator, MeasurePipeline, intel_cpu
 from repro.search import SketchPolicy
 from repro.task import SearchTask, TuningOptions
 
-from ..conftest import make_matmul_relu_dag
+from ..conftest import make_matmul_relu_dag, run_round
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def _policy(task, **kwargs):
 
 def test_one_round_measures_and_updates(task, measurer):
     policy = _policy(task)
-    inputs, results = policy.continue_search_one_round(8, measurer)
+    inputs, results = run_round(policy, 8, measurer)
     assert len(inputs) == 8
     assert len(results) == 8
     assert policy.num_trials == 8
@@ -38,7 +38,7 @@ def test_rounds_do_not_remeasure_programs(task, measurer):
     policy = _policy(task)
     seen = set()
     for _ in range(3):
-        inputs, _ = policy.continue_search_one_round(6, measurer)
+        inputs, _ = run_round(policy, 6, measurer)
         for inp in inputs:
             key = repr(inp.state.serialize_steps())
             assert key not in seen
@@ -73,21 +73,21 @@ def test_search_finds_programs_better_than_random_sampling(task):
     measurement budget (the Figure 7 'No fine-tuning' comparison)."""
     budget = TuningOptions(num_measure_trials=48, num_measures_per_round=12)
     ansor = _policy(task, seed=3)
-    ansor.tune(budget, ProgramMeasurer(task.hardware_params, seed=3))
+    ansor.tune(budget, MeasurePipeline(task.hardware_params, seed=3))
     random_policy = _policy(task, seed=3, cost_model=RandomCostModel(seed=3), use_evolutionary_search=False)
-    random_policy.tune(budget, ProgramMeasurer(task.hardware_params, seed=3))
+    random_policy.tune(budget, MeasurePipeline(task.hardware_params, seed=3))
     assert ansor.best_cost <= random_policy.best_cost * 1.1
 
 
 def test_best_throughput_consistency(task, measurer):
     policy = _policy(task)
-    policy.continue_search_one_round(8, measurer)
+    run_round(policy, 8, measurer)
     assert policy.best_throughput() == pytest.approx(task.flop_count() / policy.best_cost)
 
 
 def test_eps_greedy_includes_random_candidates(task, measurer):
     policy = _policy(task, eps_greedy=0.5)
-    inputs, _ = policy.continue_search_one_round(8, measurer)
+    inputs, _ = run_round(policy, 8, measurer)
     assert len(inputs) == 8
 
 

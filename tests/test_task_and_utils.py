@@ -69,5 +69,5 @@ def test_package_exports():
     import repro
 
     assert repro.__version__
-    for name in ("auto_schedule", "SketchPolicy", "TaskScheduler", "SearchTask", "ComputeDAG"):
+    for name in ("Tuner", "SketchPolicy", "TaskScheduler", "SearchTask", "ComputeDAG"):
         assert hasattr(repro, name)

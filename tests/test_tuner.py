@@ -155,9 +155,9 @@ def test_result_counters_are_per_session_for_reused_components(task):
     assert [t for t, _ in second.history] == [8, 16]
 
     # a reused measurer: num_errors reports this session's delta
-    from repro import ProgramMeasurer
+    from repro import MeasurePipeline
 
-    measurer = ProgramMeasurer(task.hardware_params, seed=0)
+    measurer = MeasurePipeline(task.hardware_params, seed=0)
     measurer.error_count = 5  # pretend an earlier session hit errors
     result = Tuner(task, options=SMALL, measurer=measurer).tune()
     assert result.num_errors == 0
@@ -189,26 +189,15 @@ def test_early_stopper_ends_session_before_budget(task):
 
 
 def test_early_stopping_honored_while_recording(tmp_path, task):
-    """Regression test: the old ``auto_schedule(log_file=...)`` path bypassed
-    ``policy.tune`` and with it ``options.early_stopping``.  The callback
-    pipeline must honor early stopping regardless of recording — and the
-    recorder must still see the final (stopping) batch."""
+    """Regression test: recording once bypassed ``policy.tune`` and with it
+    ``options.early_stopping``.  The callback pipeline must honor early
+    stopping regardless of recording — and the recorder must still see the
+    final (stopping) batch."""
     log = tmp_path / "tuning.json"
     options = TuningOptions(num_measure_trials=96, num_measures_per_round=8, early_stopping=1)
     result = Tuner(task, options=options, callbacks=[RecordToFile(log)]).tune()
     assert result.num_trials < 96
     assert len(load_records(log)) == result.num_trials
-
-
-def test_deprecated_auto_schedule_log_file_honors_early_stopping(tmp_path, task):
-    from repro import auto_schedule
-
-    options = TuningOptions(num_measure_trials=96, num_measures_per_round=8, early_stopping=1)
-    with pytest.deprecated_call():
-        state, cost = auto_schedule(task, options, log_file=str(tmp_path / "log.json"))
-    assert state is not None
-    records = load_records(tmp_path / "log.json")
-    assert 0 < len(records) < 96
 
 
 # ---------------------------------------------------------------------------
